@@ -15,10 +15,5 @@ val encode : Message.t -> string
 (** Decode one line. *)
 val decode : string -> (Message.t, error) result
 
-(** Undo the percent-escaping of a single field. Exposed for the
-    daemon's cheap publication classifier, which extracts the root
-    element from the raw wire line without a full decode. *)
-val unescape : string -> (string, string) result
-
 (** @raise Failure on malformed input. *)
 val decode_exn : string -> Message.t

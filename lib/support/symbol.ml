@@ -14,18 +14,15 @@
    therefore independent of when symbols were created (test_symbol.ml
    pins this).
 
-   Concurrency: the daemon handles each connection on its own thread —
-   and, since the sharded match pool, decodes publications on worker
-   domains — so interning and [name] lookups race across true parallel
-   domains, not just preemptible systhreads. Writes stay serialized by a
-   mutex (OCaml 5 [Mutex] establishes happens-before across domains).
-   [name] stays lock-free, but lock-free across domains requires real
-   publication: plain mutable-field reads may be arbitrarily stale under
-   the OCaml 5 memory model, so [names] and [count] are [Atomic.t].
+   Concurrency: one process can run several daemons and clients as
+   systhreads (the tests and the bench harness do), so interning and
+   [name] lookups interleave across threads. Writes stay serialized by a
+   mutex. [name] stays lock-free: [names] and [count] are [Atomic.t],
    [intern] fills the slot first and only then release-stores the array
-   and the count; [name] acquire-loads [count] before touching the
+   and the count, and [name] acquire-loads [count] before touching the
    array, so any id below the count it observed has a fully published
-   slot. *)
+   slot — under the OCaml 5 memory model this holds across domains
+   too, not only across threads of one domain. *)
 
 type t = int
 

@@ -371,69 +371,133 @@ let test_large_inbound_burst () =
   Daemon.request_stop d;
   Thread.join th
 
-(* ---------------- multi-domain daemon ---------------- *)
+(* ---------------- raw peers ---------------- *)
 
-(* The same end-to-end script against a sequential daemon and a
-   4-domain daemon: deliveries must be identical, and the sharded
-   daemon must expose its per-shard gauges over STATS|. *)
-let run_script_against ~domains =
-  let d = Daemon.create ~domains ~id:0 ~port:0 ~neighbors:[] () in
-  let th = Thread.create (fun () -> Daemon.run ~timeout:0.01 d) () in
-  let port = Daemon.port d in
-  let publisher = Client.connect ~client_id:100 ~host:"127.0.0.1" ~port in
-  let s1 = Client.connect ~client_id:200 ~host:"127.0.0.1" ~port in
-  let s2 = Client.connect ~client_id:201 ~host:"127.0.0.1" ~port in
-  ignore (Client.advertise publisher (Xroute_xpath.Adv.parse "/a/b"));
-  ignore (Client.advertise publisher (Xroute_xpath.Adv.parse "/c/d"));
-  ignore (Client.subscribe s1 (xp "/a"));
-  ignore (Client.subscribe s2 (xp "//d"));
-  Thread.delay 0.3;
-  let docs =
-    [ (1, "<a><b/></a>"); (2, "<c><d/></c>"); (3, "<a><b/><b/></a>"); (4, "<q><r/></q>") ]
+(* A bare socket peer: no HELLO, no reconnect machinery, so a test can
+   put any byte sequence on the wire and read the daemon's raw reply
+   lines. *)
+let raw_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let raw_send fd s =
+  let rec go off =
+    if off < String.length s then go (off + Unix.write_substring fd s off (String.length s - off))
   in
-  List.iter
-    (fun (i, body) ->
-      ignore (Client.publish_doc publisher ~doc_id:i (Xroute_xml.Xml_parser.parse body)))
-    docs;
-  let got1 = Client.drain_deliveries ~timeout:1.0 s1 in
-  let got2 = Client.drain_deliveries ~timeout:1.0 s2 in
-  let stats = Client.stats ~format:`Prom s1 in
-  Client.close publisher;
-  Client.close s1;
-  Client.close s2;
+  go 0
+
+(* The next reply line, or [None] once [timeout] seconds pass without
+   one (the daemon died or ignored us). *)
+let raw_read_line fd ~timeout =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let buf = Buffer.create 64 and byte = Bytes.create 1 in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0.0 then None
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> None
+      | _ -> (
+        match Unix.read fd byte 0 1 with
+        | 0 -> None
+        | _ ->
+          if Bytes.get byte 0 = '\n' then Some (Buffer.contents buf)
+          else begin
+            Buffer.add_char buf (Bytes.get byte 0);
+            go ()
+          end)
+  in
+  go ()
+
+(* A one-letter tag with no payload — "F" from any peer, "M" from an
+   identified one — is malformed, not fatal: the daemon must log it and
+   keep serving the connection. *)
+let test_bare_tag_lines () =
+  let d = Daemon.create ~id:0 ~port:0 ~neighbors:[] () in
+  let th = Thread.create (fun () -> Daemon.run ~timeout:0.01 d) () in
+  let fd = raw_connect (Daemon.port d) in
+  raw_send fd "F\nPING\n";
+  check (Alcotest.option Alcotest.string) "PONG after a bare F" (Some "PONG")
+    (raw_read_line fd ~timeout:2.0);
+  raw_send fd "HELLO|client|5\nM\nPING\n";
+  check (Alcotest.option Alcotest.string) "PONG after a bare M" (Some "PONG")
+    (raw_read_line fd ~timeout:2.0);
+  Unix.close fd;
+  Daemon.request_stop d;
+  Thread.join th
+
+(* The parse leaf of a hop span must cover the codec decode. Each
+   publication here carries a 48-step path of long names, so decoding
+   it takes tens of microseconds. Every hop must then carry a parse
+   leaf, and its median length must be at least half the decode time of
+   the same line measured in-process. (A parse leaf stamped after the
+   decode spans only the bookkeeping between two clock reads, about a
+   microsecond.) *)
+let test_parse_leaf_covers_decode () =
+  let module Span = Xroute_obs.Span in
+  let d = Daemon.create ~id:0 ~port:0 ~neighbors:[] () in
+  let th = Thread.create (fun () -> Daemon.run ~timeout:0.01 d) () in
+  let fd = raw_connect (Daemon.port d) in
+  let depth = 48 and docs = 200 in
+  let name k = Printf.sprintf "section_of_a_deeply_nested_document_%02d" k in
+  let doc =
+    Xroute_xml.Xml_parser.parse
+      (String.concat "" (List.init depth (fun k -> "<" ^ name k ^ ">"))
+      ^ String.concat "" (List.init depth (fun k -> "</" ^ name (depth - 1 - k) ^ ">")))
+  in
+  let payload doc_id =
+    match Xroute_xml.Xml_paths.decompose ~doc_id doc with
+    | [ pub ] ->
+      Xroute_core.Codec.encode (Xroute_core.Message.Publish { pub; trail = []; ctx = None })
+    | _ -> Alcotest.fail "a chain document has exactly one path"
+  in
+  let burst = Buffer.create (1 lsl 16) in
+  Buffer.add_string burst "HELLO|client|7\n";
+  for doc_id = 1 to docs do
+    Buffer.add_string burst ("M|" ^ payload doc_id ^ "\n")
+  done;
+  Buffer.add_string burst "PING\n";
+  raw_send fd (Buffer.contents burst);
+  (* lines are handled in order: the PONG follows every publication *)
+  check (Alcotest.option Alcotest.string) "burst handled" (Some "PONG")
+    (raw_read_line fd ~timeout:10.0);
+  Unix.close fd;
   Daemon.request_stop d;
   Thread.join th;
-  (got1, got2, stats)
-
-let test_domains_end_to_end () =
-  let seq1, seq2, _ = run_script_against ~domains:1 in
-  let par1, par2, stats = run_script_against ~domains:4 in
-  check (Alcotest.list ci) "s1 deliveries identical across engines" seq1 par1;
-  check (Alcotest.list ci) "s2 deliveries identical across engines" seq2 par2;
-  check (Alcotest.list ci) "s1 saw the /a docs" [ 1; 3 ] par1;
-  check (Alcotest.list ci) "s2 saw the //d doc" [ 2 ] par2;
-  (match stats with
-  | None -> Alcotest.fail "no STATS reply from the sharded daemon"
-  | Some body ->
-    check cb "per-shard gauges exposed" true
-      (let has s =
-         let n = String.length body and m = String.length s in
-         let rec go i = i + m <= n && (String.sub body i m = s || go (i + 1)) in
-         go 0
-       in
-       has "xroute_shard_0_entries" && has "xroute_shard_3_entries"
-       && has "xroute_pool_pubs_routed"));
-  (* the pool rejects configurations it cannot merge deterministically *)
-  check cb "tree engine rejected" true
-    (match
-       Daemon.create
-         ~strategy:{ Xroute_core.Broker.default_strategy with match_engine = Xroute_core.Rtable.Prt.Tree }
-         ~domains:2 ~id:9 ~port:0 ~neighbors:[] ()
-     with
-    | exception Invalid_argument _ -> true
-    | d ->
-      Daemon.request_stop d;
-      false)
+  let decode_us =
+    let line = payload 1 and n = 1000 in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to n do
+      ignore (Xroute_core.Codec.decode line)
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n
+  in
+  let spans = Span.to_list (Daemon.spans d) in
+  let hops = List.filter (fun s -> s.Span.name = "hop") spans in
+  let parse_us = Hashtbl.create 256 in
+  List.iter
+    (fun s ->
+      match s.Span.parent with
+      | Some p when s.Span.name = "parse" ->
+        Hashtbl.replace parse_us p (Span.duration s *. 1000.0)
+      | Some _ | None -> ())
+    spans;
+  let durations =
+    List.map (fun h -> Option.value ~default:0.0 (Hashtbl.find_opt parse_us h.Span.id)) hops
+    |> List.sort compare
+  in
+  let with_parse = List.length (List.filter (fun u -> u > 0.0) durations) in
+  check ci "a hop span per publication" docs (List.length hops);
+  check cb
+    (Printf.sprintf "%d of %d hops carry a parse leaf (want >= 90%%)" with_parse docs)
+    true
+    (with_parse * 10 >= docs * 9);
+  let median = List.nth durations (docs / 2) in
+  check cb
+    (Printf.sprintf "median parse leaf %.2f us >= half the %.2f us decode" median decode_us)
+    true
+    (median >= 0.5 *. decode_us)
 
 (* Parse a Prometheus text exposition into (base-metric-name, value)
    pairs; comment lines skipped, quantile labels stripped. *)
@@ -813,16 +877,12 @@ let () =
           Alcotest.test_case "duplicate HELLO evicts the stale conn" `Quick
             test_duplicate_hello_reconnect;
           Alcotest.test_case "1MB inbound burst" `Quick test_large_inbound_burst;
+          Alcotest.test_case "bare F and M lines are not fatal" `Quick test_bare_tag_lines;
         ] );
       ( "linebuf",
         [
           Alcotest.test_case "basics" `Quick test_linebuf_basics;
           Alcotest.test_case "1MB one byte at a time" `Quick test_linebuf_byte_at_a_time;
-        ] );
-      ( "domains",
-        [
-          Alcotest.test_case "end to end, sharded vs sequential" `Quick
-            test_domains_end_to_end;
         ] );
       ( "fedstats",
         [
@@ -840,5 +900,7 @@ let () =
             test_trace_framing_hostile_payload;
           Alcotest.test_case "flight dump on audit error" `Quick
             test_flight_recorder_on_audit_error;
+          Alcotest.test_case "parse leaf covers the decode" `Quick
+            test_parse_leaf_covers_decode;
         ] );
     ]

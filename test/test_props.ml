@@ -349,14 +349,6 @@ let prop_audit_clean_after_churn =
       Net.run net;
       Xroute_check.Check.audit_net net = [])
 
-(* Heap sort property on random int lists. *)
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap sorts" ~count:300
-    QCheck.(list_of_size (QCheck.Gen.int_range 0 100) small_int) (fun xs ->
-      let h = Xroute_support.Heap.create ~cmp:compare ~dummy:0 () in
-      List.iter (Xroute_support.Heap.push h) xs;
-      Xroute_support.Heap.to_list h = List.sort compare xs)
-
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
@@ -373,5 +365,4 @@ let () =
                                       prop_perfect_merge_no_drops ]);
       ("audit", to_alcotest [ prop_audit_clean_after_churn ]);
       ("xml", to_alcotest [ prop_xml_roundtrip; prop_paths_consistent ]);
-      ("support", to_alcotest [ prop_heap_sorts ]);
     ]

@@ -119,84 +119,6 @@ let test_prng_pareto_min () =
     check cb "at least xm" true (Prng.pareto p ~alpha:1.5 ~xm:0.4 >= 0.4)
   done
 
-(* ---------------- Heap ---------------- *)
-
-let int_heap () = Heap.create ~cmp:compare ~dummy:0 ()
-
-let test_heap_empty () =
-  let h = int_heap () in
-  check cb "is_empty" true (Heap.is_empty h);
-  check ci "length" 0 (Heap.length h);
-  check (Alcotest.option ci) "peek" None (Heap.peek_min h);
-  check (Alcotest.option ci) "pop" None (Heap.pop_min h)
-
-let test_heap_sorts () =
-  let h = int_heap () in
-  let input = [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ] in
-  List.iter (Heap.push h) input;
-  let rec drain acc =
-    match Heap.pop_min h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check (Alcotest.list ci) "ascending" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (drain [])
-
-let test_heap_duplicates () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 2; 2; 1; 1; 3 ];
-  check (Alcotest.list ci) "dups kept" [ 1; 1; 2; 2; 3 ] (Heap.to_list h);
-  check ci "length" 5 (Heap.length h)
-
-let test_heap_growth () =
-  let h = Heap.create ~capacity:2 ~cmp:compare ~dummy:0 () in
-  for i = 1000 downto 1 do
-    Heap.push h i
-  done;
-  check ci "all stored" 1000 (Heap.length h);
-  check (Alcotest.option ci) "min" (Some 1) (Heap.peek_min h)
-
-let test_heap_to_list_preserves () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 4; 2; 6 ];
-  ignore (Heap.to_list h);
-  check ci "untouched" 3 (Heap.length h)
-
-let test_heap_clear () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
-  Heap.clear h;
-  check cb "cleared" true (Heap.is_empty h)
-
-let test_heap_interleaved () =
-  let h = int_heap () in
-  Heap.push h 5;
-  Heap.push h 1;
-  check (Alcotest.option ci) "pop 1" (Some 1) (Heap.pop_min h);
-  Heap.push h 3;
-  check (Alcotest.option ci) "pop 3" (Some 3) (Heap.pop_min h);
-  check (Alcotest.option ci) "pop 5" (Some 5) (Heap.pop_min h)
-
-let test_heap_random_model () =
-  let p = Prng.create 99 in
-  let h = int_heap () in
-  let model = ref [] in
-  for _ = 1 to 2000 do
-    if Prng.bool p || !model = [] then begin
-      let v = Prng.int p 1000 in
-      Heap.push h v;
-      model := v :: !model
-    end
-    else begin
-      let expected = List.fold_left min max_int !model in
-      (match Heap.pop_min h with
-      | Some got -> check ci "model min" expected got
-      | None -> Alcotest.fail "heap empty but model is not");
-      let rec remove_one = function
-        | [] -> []
-        | x :: rest -> if x = expected then rest else x :: remove_one rest
-      in
-      model := remove_one !model
-    end
-  done
-
 (* ---------------- Zipf ---------------- *)
 
 let test_zipf_uniform () =
@@ -476,17 +398,6 @@ let () =
           Alcotest.test_case "choose" `Quick test_prng_choose;
           Alcotest.test_case "exponential positive" `Quick test_prng_exponential_positive;
           Alcotest.test_case "pareto min" `Quick test_prng_pareto_min;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "sorts" `Quick test_heap_sorts;
-          Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          Alcotest.test_case "growth" `Quick test_heap_growth;
-          Alcotest.test_case "to_list preserves" `Quick test_heap_to_list_preserves;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
-          Alcotest.test_case "random model" `Quick test_heap_random_model;
         ] );
       ( "equeue",
         [
